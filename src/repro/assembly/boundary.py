@@ -21,24 +21,10 @@ import numpy as np
 from ..linalg import blas
 from ..linalg.counters import charge
 from ..mesh.curved import make_element_map
+from ..spectral.expansions import QuadExpansion, TriExpansion
 from ..spectral.jacobi import gauss_jacobi
 
 __all__ = ["EdgeQuadrature", "build_edge_quadrature"]
-
-# Reference parametrisation of each local edge (intrinsic direction),
-# and whether that direction agrees with CCW traversal of the element
-# boundary (outward normal = +(t_y, -t_x) for CCW traversal).
-_QUAD_PARAM = {
-    0: (lambda s: (s, -np.ones_like(s)), +1),
-    1: (lambda s: (np.ones_like(s), s), +1),
-    2: (lambda s: (s, np.ones_like(s)), -1),
-    3: (lambda s: (-np.ones_like(s), s), -1),
-}
-_TRI_PARAM = {
-    0: (lambda s: (s, -np.ones_like(s)), +1),
-    1: (lambda s: (-s, s), +1),
-    2: (lambda s: (-np.ones_like(s), s), -1),
-}
 
 
 @dataclass
@@ -52,7 +38,7 @@ class EdgeQuadrature:
     nx: np.ndarray  # outward unit normal
     ny: np.ndarray
     jw: np.ndarray  # arc-length weights
-    phi: np.ndarray  # (nmodes, n) element basis at the edge points
+    phi: np.ndarray  # (nmodes, n) element basis at the edge points, read-only
     dphi_x: np.ndarray  # physical derivative tables
     dphi_y: np.ndarray
 
@@ -77,27 +63,30 @@ class EdgeQuadrature:
 def build_edge_quadrature(
     space, sides: list[tuple[int, int]], nq: int | None = None
 ) -> list[EdgeQuadrature]:
-    """Edge quadrature for the given (element, local_edge) sides."""
+    """Edge quadrature for the given (element, local_edge) sides.
+
+    The reference basis tables are the expansion's
+    (:meth:`~repro.spectral.expansions.Expansion2D.edge_tables`), shared
+    read-only by every side on the same local edge; the geometry (map,
+    normals, weights, physical derivatives) is computed per side.
+    """
     out = []
+    n1d = nq if nq is not None else space.order + 2
+    s, w = gauss_jacobi(n1d)
     for ei, le in sides:
-        elem = space.mesh.elements[ei]
         exp = space.dofmap.expansion(ei)
-        n1d = nq if nq is not None else space.order + 2
-        s, w = gauss_jacobi(n1d)
-        table = _TRI_PARAM if elem.kind == "tri" else _QUAD_PARAM
-        param, ccw_sign = table[le]
+        param, (dxi1, dxi2), ccw_sign = exp.edge_params[le]
         xi1, xi2 = param(s)
         emap = make_element_map(space.mesh, ei)
         x, y = emap.x(xi1, xi2)
         # Tangent along the parameter s by the chain rule on the map.
         j = emap.jacobian(xi1, xi2)
-        dxi1, dxi2 = _param_derivative(elem.kind, le)
         tx = j[:, 0, 0] * dxi1 + j[:, 0, 1] * dxi2
         ty = j[:, 1, 0] * dxi1 + j[:, 1, 1] * dxi2
         norm = np.hypot(tx, ty)
         nx = ccw_sign * ty / norm
         ny = -ccw_sign * tx / norm
-        phi, d1, d2 = exp.eval_basis_full(xi1, xi2)
+        phi, d1, d2 = exp.edge_tables(le, n1d)
         # Physical derivatives at the edge points.
         det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
         dxi1_dx = j[:, 1, 1] / det
@@ -123,21 +112,13 @@ def build_edge_quadrature(
     return out
 
 
-def _param_derivative(kind: str, le: int) -> tuple[float, float]:
-    """d(xi1, xi2)/ds of the edge parametrisation."""
-    if kind == "quad":
-        return {0: (1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0), 3: (0.0, 1.0)}[le]
-    return {0: (1.0, 0.0), 1: (-1.0, 1.0), 2: (0.0, 1.0)}[le]
-
-
 def edge_physical_points(
     mesh, elem: int, local_edge: int, s_canonical: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Physical coordinates along an element edge at canonical
     (low->high vertex id) parameter values, honouring curved geometry."""
-    kind = mesh.elements[elem].kind
-    table = _TRI_PARAM if kind == "tri" else _QUAD_PARAM
-    param, _ = table[local_edge]
+    exp_cls = TriExpansion if mesh.elements[elem].kind == "tri" else QuadExpansion
+    param = exp_cls.edge_params[local_edge][0]
     s = np.asarray(s_canonical, dtype=np.float64)
     if mesh.edge_orientation(elem, local_edge) < 0:
         s = -s

@@ -20,9 +20,12 @@ higher global vertex id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TRI_EDGES", "QUAD_EDGES", "Element", "Edge", "Mesh2D"]
 
@@ -192,6 +195,8 @@ class Mesh2D:
     def dual_graph(self) -> nx.Graph:
         """Element adjacency graph (shared edge => graph edge),
         the structure METIS partitions in the paper."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.nelements))
         for edge in self.edges:
@@ -201,6 +206,8 @@ class Mesh2D:
         return g
 
     def vertex_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.nvertices))
         for edge in self.edges:

@@ -14,12 +14,19 @@ provides the same service on the element dual graph:
 
 Quality metrics (edge cut, imbalance) drive both the tests and the
 gather-scatter communication volume in the ALE cost model.
+
+networkx is imported by the functions that build or query graphs, so
+importing :mod:`repro.mesh` does not pay for it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "partition_mesh",
@@ -90,6 +97,8 @@ def _bisect(g: nx.Graph, target_left: int, method: str, seed: int):
 
 def _spectral_order(g: nx.Graph, seed: int) -> list:
     """Nodes sorted by the Fiedler vector (graph's second eigenvector)."""
+    import networkx as nx
+
     nodes = list(g.nodes)
     if len(nodes) <= 2:
         return nodes
@@ -109,6 +118,8 @@ def _spectral_order(g: nx.Graph, seed: int) -> list:
 
 def _multilevel_bisect(g: nx.Graph, target_left: int, seed: int):
     """Coarsen by heavy-edge matching, split coarse, project back, refine."""
+    import networkx as nx
+
     matching = _heavy_edge_matching(g, seed)
     coarse = nx.Graph()
     rep: dict = {}

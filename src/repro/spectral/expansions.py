@@ -30,13 +30,14 @@ import numpy as np
 from ..linalg import blas
 from ..linalg.counters import charge
 from . import basis as b1
-from .jacobi import jacobi, jacobi_derivative
+from .jacobi import gauss_jacobi, jacobi, jacobi_derivative
 from .quadrature import TensorRule2D, quad_rule, tri_rule
 
 __all__ = ["Mode", "Expansion2D", "QuadExpansion", "TriExpansion"]
 
 Array = np.ndarray
 Fn = Callable[[Array], Array]
+EdgeParam = tuple[Callable[[Array], tuple[Array, Array]], tuple[float, float], int]
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,11 @@ class Expansion2D:
     nverts: int = 0
     nedges: int = 0
     collapsed: bool = False  # True when (a, b) are Duffy coordinates
+    # Local edge -> (xi(s), d xi/ds, ccw): the map from s in [-1, 1] onto
+    # the edge in its intrinsic direction, and +1 where that direction
+    # runs counter-clockwise round the element (outward normal
+    # = ccw * (t_y, -t_x) for tangent t).
+    edge_params: dict[int, EdgeParam] = {}
 
     def __init__(self, order: int, nq: int | None = None):
         if order < 2:
@@ -103,6 +109,7 @@ class Expansion2D:
         self.rule: TensorRule2D = self._make_rule(self.nq1d)
         self.modes: list[Mode] = self._build_modes()
         self._tabulate()
+        self._edge_tables: dict[tuple[int, int], tuple[Array, Array, Array]] = {}
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -239,6 +246,25 @@ class Expansion2D:
             phi[m] = fa * gb
             d1[m], d2[m] = self._ref_deriv(fa, dfa, gb, dgb, A, B)
         return phi, d1, d2
+
+    def edge_tables(self, local_edge: int, n1d: int) -> tuple[Array, Array, Array]:
+        """Read-only (phi, dphi/dxi1, dphi/dxi2) at the ``n1d`` Gauss
+        points of ``local_edge`` (parametrised by ``edge_params``).
+
+        Tabulated once per (local_edge, n1d) and shared by every caller,
+        so every boundary side on the same local edge reads one table.
+        Two threads missing at once both tabulate the same values; the
+        tables stay equal bit for bit whichever is kept.
+        """
+        key = (local_edge, n1d)
+        tables = self._edge_tables.get(key)
+        if tables is None:
+            s, _ = gauss_jacobi(n1d)
+            tables = self.eval_basis_full(*self.edge_params[local_edge][0](s))
+            for t in tables:
+                t.flags.writeable = False
+            self._edge_tables[key] = tables
+        return tables
 
     # repro: waive[accounting] point-probe diagnostic, not a solver hot path
     def eval_at(self, coeffs: Array, xi1: Array, xi2: Array) -> Array:
@@ -454,6 +480,12 @@ class QuadExpansion(QuadExpansionMixin, Expansion2D):
 
     nverts = 4
     nedges = 4
+    edge_params = {
+        0: (lambda s: (s, -np.ones_like(s)), (1.0, 0.0), +1),
+        1: (lambda s: (np.ones_like(s), s), (0.0, 1.0), +1),
+        2: (lambda s: (s, np.ones_like(s)), (1.0, 0.0), -1),
+        3: (lambda s: (-np.ones_like(s), s), (0.0, 1.0), -1),
+    }
 
     def _make_rule(self, nq: int) -> TensorRule2D:
         return quad_rule(nq)
@@ -517,6 +549,11 @@ class TriExpansion(Expansion2D):
     nverts = 3
     nedges = 3
     collapsed = True
+    edge_params = {
+        0: (lambda s: (s, -np.ones_like(s)), (1.0, 0.0), +1),
+        1: (lambda s: (-s, s), (-1.0, 1.0), +1),
+        2: (lambda s: (-np.ones_like(s), s), (0.0, 1.0), -1),
+    }
 
     def _make_rule(self, nq: int) -> TensorRule2D:
         return tri_rule(nq)

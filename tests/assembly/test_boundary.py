@@ -4,6 +4,8 @@ import pytest
 from repro.assembly.boundary import build_edge_quadrature
 from repro.assembly.space import FunctionSpace
 from repro.mesh.generators import bluff_body_mesh, rectangle_quads, rectangle_tris
+from repro.spectral.expansions import Expansion2D
+from repro.spectral.jacobi import gauss_jacobi
 
 
 def test_edge_lengths_unit_square():
@@ -93,3 +95,85 @@ def test_dphi_tables_match_fd_along_edge():
     f0 = exp.eval_basis(np.full_like(xi2, -1.0), xi2)
     fd = (f1 - f0) / h
     np.testing.assert_allclose(eq.dphi_x, fd, atol=1e-4, rtol=1e-3)
+
+
+# Reference parametrisation of each local edge, written out independently
+# of the expansion classes: the per-side tabulation the shared tables
+# replace.
+_REF_PARAM = {
+    "quad": {
+        0: lambda s: (s, -np.ones_like(s)),
+        1: lambda s: (np.ones_like(s), s),
+        2: lambda s: (s, np.ones_like(s)),
+        3: lambda s: (-np.ones_like(s), s),
+    },
+    "tri": {
+        0: lambda s: (s, -np.ones_like(s)),
+        1: lambda s: (-s, s),
+        2: lambda s: (-np.ones_like(s), s),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mesh, order, tag, nq",
+    [
+        (rectangle_quads(2, 2), 4, None, None),
+        (rectangle_tris(2, 2), 4, None, None),
+        (bluff_body_mesh(m=3, nr=1), 5, "wall", None),
+        (rectangle_quads(2, 1), 3, None, 7),
+        (rectangle_tris(1, 2), 3, None, 6),
+    ],
+    ids=["quads", "tris", "curved-wall", "quads-nq", "tris-nq"],
+)
+def test_shared_edge_tables_match_per_side_tabulation(mesh, order, tag, nq):
+    space = FunctionSpace(mesh, order)
+    quads = build_edge_quadrature(space, space.mesh.boundary_sides(tag), nq=nq)
+    n1d = nq if nq is not None else order + 2
+    s, _ = gauss_jacobi(n1d)
+    for eq in quads:
+        exp = space.dofmap.expansion(eq.elem)
+        kind = space.mesh.elements[eq.elem].kind
+        phi, d1, d2 = exp.eval_basis_full(*_REF_PARAM[kind][eq.local_edge](s))
+        shared = exp.edge_tables(eq.local_edge, n1d)
+        assert eq.phi is shared[0]
+        assert np.array_equal(eq.phi, phi)
+        assert np.array_equal(shared[1], d1)
+        assert np.array_equal(shared[2], d2)
+
+
+def test_shared_edge_tables_are_read_only():
+    space = FunctionSpace(rectangle_quads(2, 1), 3)
+    quads = build_edge_quadrature(space, space.mesh.boundary_sides("bottom"))
+    assert quads[0].phi is quads[1].phi
+    with pytest.raises(ValueError):
+        quads[0].phi[0, 0] = 1.0
+    for table in space.dofmap.expansion(0).edge_tables(0, 5):
+        with pytest.raises(ValueError):
+            table += 1.0
+
+
+def test_edge_tables_tabulated_once_per_local_edge(monkeypatch):
+    space = FunctionSpace(bluff_body_mesh(m=4, nr=2), 6)
+    calls = []
+    fresh = Expansion2D.eval_basis_full
+
+    def counted(self, xi1, xi2):
+        calls.append(self)
+        return fresh(self, xi1, xi2)
+
+    monkeypatch.setattr(Expansion2D, "eval_basis_full", counted)
+    mesh = space.mesh
+    velocity = [s for t in ("inflow", "side", "wall") for s in mesh.boundary_sides(t)]
+    assert len(velocity) == 56
+    build_edge_quadrature(space, velocity)
+    assert len(calls) == 3  # local edges 0, 2 and 3
+    sides = mesh.boundary_sides()
+    assert len(sides) == 64
+    build_edge_quadrature(space, sides)
+    assert len(calls) == 4  # outflow adds local edge 1
+    build_edge_quadrature(space, sides, nq=9)
+    assert len(calls) == 8  # a new point count is a new table per edge
+    # A fresh space has fresh expansions, so it tabulates again.
+    build_edge_quadrature(FunctionSpace(mesh, 6), sides)
+    assert len(calls) == 12

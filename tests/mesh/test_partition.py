@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -104,3 +108,33 @@ def test_strips_baseline_ordering():
 def test_imbalance_metric():
     assert imbalance(np.array([0, 0, 1, 1]), 2) == pytest.approx(1.0)
     assert imbalance(np.array([0, 0, 0, 1]), 2) == pytest.approx(1.5)
+
+
+_LAZY_NETWORKX = """
+import json, sys
+import repro.campaign, repro.ns.nektar_f, repro.parallel.simmpi
+from repro.assembly.space import FunctionSpace
+from repro.mesh.generators import bluff_body_mesh
+from repro.mesh.partition import partition_mesh
+mesh = bluff_body_mesh(m=4, nr=2)
+FunctionSpace(mesh, 4)
+before = "networkx" in sys.modules
+parts = partition_mesh(mesh, 4).tolist()
+print(json.dumps([before, "networkx" in sys.modules, parts]))
+"""
+
+
+def test_networkx_imported_only_when_partitioning():
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_NETWORKX],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    before, after, parts = json.loads(out.stdout)
+    assert not before, "solver and campaign imports must not load networkx"
+    assert after
+    mesh = bluff_body_mesh(m=4, nr=2)
+    assert parts == partition_mesh(mesh, 4).tolist()
+    assert imbalance(np.array(parts), 4) <= 1.15
