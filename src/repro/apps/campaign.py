@@ -18,7 +18,9 @@ Run::
 
 Exit codes follow the shared convention (:mod:`repro.util.cli`):
 0 = clean, 1 = gate failure (failed jobs; infeasible search target),
-2 = usage error (missing ledger/matrix/artifacts).
+2 = usage error (missing ledger/matrix/artifacts, a corrupt ledger
+line).  A torn final ledger record — an append cut short by a kill —
+is not an error: it is skipped with a warning and its job re-runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 from ..campaign.engine import CampaignEngine, campaign_report
 from ..campaign.matrix import smoke_matrix
 from ..campaign.search import load_graphs, search_catalog
-from ..obs.runlog import RunLedger
+from ..obs.runlog import LedgerCorruptError, RunLedger
 from ..util.cli import EXIT_GATE, EXIT_OK, usage_error
 
 __all__ = ["main"]
@@ -170,7 +172,10 @@ def main(argv=None) -> int:
     p_search.set_defaults(func=_cmd_search)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LedgerCorruptError as exc:
+        return usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ where the drift detector merely warns; everything gated is virtual.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +32,12 @@ from pathlib import Path
 from typing import Any
 
 from ..machines.catalog import MACHINES, NETWORKS
-from ..obs.critpath import CritPathRecorder, aggregate_analyses, analyze
+from ..obs.critpath import (
+    CritPathRecorder,
+    aggregate_analyses,
+    analyze,
+    write_graph,
+)
 from ..obs.runlog import RunLedger
 from ..parallel.simmpi import VirtualCluster
 from .cache import OperatorCache
@@ -145,8 +149,7 @@ class CampaignEngine:
                 return
             if self.artifacts_dir is not None:
                 self.artifacts_dir.mkdir(parents=True, exist_ok=True)
-                with self._graph_path(job).open("w") as fh:
-                    json.dump(payload["graph"], fh, sort_keys=True)
+                write_graph(payload["graph"], self._graph_path(job))
             with lock:
                 if abort.is_set():
                     return

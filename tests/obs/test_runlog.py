@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.obs.runlog import (
+    LedgerCorruptError,
     RunLedger,
     append_bench_record,
     config_fingerprint,
@@ -311,3 +312,71 @@ def test_single_reference_sample_downgrades_severity():
     full = iter_timing_drift(_hist([1.0, 1.05, 3.0]))
     assert [f["severity"] for f in full] == ["regression"]
     assert full[0]["nref"] == 2
+
+
+# ------------------------------------------------------------- torn tails
+
+
+def _ledger_with_final_record(tmp_path):
+    path = tmp_path / "torn.jsonl"
+    lg = RunLedger(path)
+    for v in range(3):
+        lg.append("b", dict(CFG, nprocs=v), values={"v": v})
+    data = path.read_bytes()
+    head = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
+    return path, lg, head, data[len(head) :]
+
+
+def test_torn_tail_at_every_offset_is_skipped_and_fenced(tmp_path, capsys):
+    from repro.obs import MetricsRegistry, use_registry
+
+    path, lg, head, last = _ledger_with_final_record(tmp_path)
+    assert last.endswith(b"\n")
+    for cut in range(len(last)):
+        path.write_bytes(head + last[:cut])
+        # Only the newline missing: the record itself is whole.
+        whole = cut == len(last) - 1
+        want = [0, 1, 2] if whole else [0, 1]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert [r["values"]["v"] for r in lg.records()] == want
+        torn = 0 < cut < len(last) - 1
+        snap = registry.snapshot()
+        assert snap.get("ledger.torn_tails", {"value": 0})["value"] == torn
+        err = capsys.readouterr().err
+        assert err.count("torn ledger record") == torn
+        assert len(err.splitlines()) == torn
+        # The next append starts on a fresh line and reads back intact,
+        # and the fenced fragment still reads as torn.
+        rec = lg.append("b", dict(CFG, nprocs=9), values={"v": 9})
+        assert [r["values"]["v"] for r in lg.records()] == want + [9]
+        assert lg.records()[-1] == rec
+        assert capsys.readouterr().err.count("torn ledger record") == 2 * torn
+
+
+def test_torn_tail_then_killed_fenced_append(tmp_path, capsys):
+    path, lg, head, last = _ledger_with_final_record(tmp_path)
+    path.write_bytes(head + last[:40])
+    lg.append("b", dict(CFG, nprocs=8), values={"v": 8})
+    with path.open("ab") as fh:
+        fh.write(last[:25])  # the fenced append's successor is cut too
+    lg.append("b", dict(CFG, nprocs=9), values={"v": 9})
+    assert [r["values"]["v"] for r in lg.records()] == [0, 1, 8, 9]
+    assert capsys.readouterr().err.count("torn ledger record") == 2
+
+
+@pytest.mark.parametrize(
+    "tail, lineno",
+    [
+        (b"{not json\n", 4),  # terminated: not a torn tail
+        (b"{not json\n" + b'{"bench": "b"}\n', 4),  # mid-file
+        (b"{torn\n\n{not json\n", 6),  # a fenced tail, then a bad line
+    ],
+)
+def test_corrupt_line_outside_the_tail_raises(tmp_path, tail, lineno):
+    path, lg, head, last = _ledger_with_final_record(tmp_path)
+    path.write_bytes(head + last + tail)
+    with pytest.raises(
+        LedgerCorruptError, match=rf"torn\.jsonl:{lineno}: corrupt ledger line"
+    ):
+        lg.records()
